@@ -69,8 +69,6 @@ class CodeGenerator {
   /// Appends `inst`, folding it into the previous instruction when the
   /// adjacent-merge legality conditions hold.
   void emit(Instruction inst, std::vector<NodeId> hostValues = {}) {
-    isa::validateInstruction(inst, target_.numArrays, target_.rows(),
-                             target_.cols());
     if (options_.mergeInstructions && tryMerge(inst, hostValues)) {
       prog_.stats.mergedInstructions++;
       return;

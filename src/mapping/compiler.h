@@ -31,11 +31,14 @@ struct CompileOptions {
   std::optional<bool> eagerWriteback;
   /// Scheduler wave ordering (ablation; default b-level).
   CodegenOptions::WaveOrder waveOrder = CodegenOptions::WaveOrder::BLevel;
-  /// Statically verify the generated program (src/verify) before
-  /// returning it. Defaults to verify::verifyCompiledByDefault():
-  /// SHERLOCK_VERIFY env override, else on in debug / off in release.
-  /// The test suite runs with SHERLOCK_VERIFY=1, so every compilation
-  /// under ctest is verified.
+  /// Run the full static verifier (src/verify: dataflow rules and the
+  /// equivalence proof) on the generated program before returning it.
+  /// Defaults to verify::verifyCompiledByDefault(): SHERLOCK_VERIFY env
+  /// override, else on in debug / off in release. The test suite runs
+  /// with SHERLOCK_VERIFY=1, so every compilation under ctest is
+  /// verified. When off, the per-instruction rules still run
+  /// (verify::checkInstructions), so no build type ships an illegal
+  /// instruction.
   std::optional<bool> verify;
   /// Eq. 1 clustering constants (optimized strategy only).
   OptMapperOptions optimizer;
@@ -82,12 +85,14 @@ inline CompileResult compile(const ir::Graph& g,
     trace::Span span("mapping", "codegen");
     result.program = generateCode(g, target, result.plan, cg);
   }
+  trace::Span span("mapping", "verify");
   if (options.verify.value_or(verify::verifyCompiledByDefault())) {
-    trace::Span span("mapping", "verify");
     verify::VerifyOptions vopts;
     vopts.faultMap = options.faults.map;
     vopts.spareRows = options.faults.spareRows;
     verify::checkProgram(g, target, result.program, vopts);
+  } else {
+    verify::checkInstructions(target, result.program);
   }
   return result;
 }

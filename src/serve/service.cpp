@@ -445,27 +445,4 @@ ServiceStats CompileService::stats() const {
   return s;
 }
 
-std::string ServiceStats::toJson() const {
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"requests\": " << counters.requests << ",\n"
-      << "  \"hits\": " << counters.hits << ",\n"
-      << "  \"direct_hits\": " << counters.directHits << ",\n"
-      << "  \"misses\": " << counters.misses << ",\n"
-      << "  \"coalesced\": " << counters.coalesced << ",\n"
-      << "  \"errors\": " << counters.errors << ",\n"
-      << "  \"evictions\": " << counters.evictions << ",\n"
-      << "  \"hit_rate\": " << counters.hitRate() << ",\n"
-      << "  \"cache_size\": " << cacheSize << ",\n"
-      << "  \"cache_capacity\": " << cacheCapacity << ",\n"
-      << "  \"hit_p50_us\": " << hitP50Us << ",\n"
-      << "  \"hit_p99_us\": " << hitP99Us << ",\n"
-      << "  \"hit_mean_us\": " << hitMeanUs << ",\n"
-      << "  \"cold_p50_us\": " << coldP50Us << ",\n"
-      << "  \"cold_p99_us\": " << coldP99Us << ",\n"
-      << "  \"cold_mean_us\": " << coldMeanUs << "\n"
-      << "}\n";
-  return out.str();
-}
-
 }  // namespace sherlock::serve

@@ -97,7 +97,10 @@ struct CompileResponse {
 };
 
 /// Snapshot of the service counters + latency percentiles, rebuilt from
-/// the MetricsRegistry for struct-typed consumers (tests, benches).
+/// the MetricsRegistry for struct-typed consumers (tests, benches). It has
+/// no serialization of its own: the serve protocol's STATS verb and
+/// sherlockc --metrics-out both emit CompileService::metricsJson() (the
+/// unified MetricsRegistry schema).
 struct ServiceStats {
   CacheCounters counters;
   size_t cacheSize = 0;
@@ -105,11 +108,6 @@ struct ServiceStats {
   double hitP50Us = 0, hitP99Us = 0;
   double coldP50Us = 0, coldP99Us = 0;
   double hitMeanUs = 0, coldMeanUs = 0;
-
-  /// Legacy flat JSON object. The serve protocol's STATS verb and
-  /// sherlockc --metrics-out emit CompileService::metricsJson() (the
-  /// unified MetricsRegistry schema) instead.
-  std::string toJson() const;
 };
 
 /// Counts accepted/rejected entries of a cache snapshot operation.

@@ -155,6 +155,9 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
            "laneWords must be in [1, 4096]");
   const size_t W = static_cast<size_t>(options.laneWords);
 
+  // Per-instruction legality is checked here, once, before anything
+  // executes; the decode loop below trusts every instruction's shape and
+  // bounds.
   if (options.staticVerify) {
     // Structural rules only: the functional run below compares outputs
     // against the reference evaluator on concrete inputs, which subsumes
@@ -165,6 +168,8 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
     verify::VerifyOptions vopts;
     vopts.checkEquivalence = false;
     verify::checkProgram(g, target, program, vopts);
+  } else {
+    verify::checkInstructions(target, program);
   }
 
   if (options.faultMap)
@@ -293,7 +298,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                       double readyNs) -> std::pair<double, double> {
     const int meshCells = target.grid.cells();
     if (!target.grid.configured() || srcArray >= meshCells ||
-        dstArray >= meshCells || srcArray < 0 || dstArray < 0) {
+        dstArray >= meshCells) {
       int hops = target.hopsBetween(srcArray, dstArray);
       double start = std::max(readyNs, busFreeNs);
       double end = start + hops * hopLatencyNs;
@@ -355,7 +360,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
   trace::Tracer& tracer = trace::Tracer::instance();
   for (size_t idx = 0; idx < program.instructions.size(); ++idx) {
     const Instruction& inst = program.instructions[idx];
-    isa::validateInstruction(inst, target.numArrays, rows, cols);
     ArrayState& arr = arrayAt(inst.arrayId);
     const FaultMasks* fm = fmap ? &masksAt(inst.arrayId) : nullptr;
 
@@ -486,7 +490,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
           uint64_t* out = newBits.data() + i * W;
           if (inst.colOps.empty()) {
             // Plain read: load the single cell into the buffer.
-            checkArg(opPtrs.size() == 1, "plain read takes one row");
             std::copy_n(opPtrs[0], W, out);
             plainStuck[i] = opStuck[0];
           } else {

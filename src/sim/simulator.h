@@ -57,11 +57,15 @@ struct SimOptions {
   /// Compare output cells against the reference evaluator.
   bool verify = true;
 
-  /// Statically verify the program (src/verify structural rules) before
-  /// executing it: malformed streams fail with a VerificationError that
-  /// pins the instruction index and violated rule instead of surfacing as
-  /// a mid-execution SimulationError. Disable for hot loops that run one
-  /// already-verified program many times (e.g. Monte-Carlo trials).
+  /// Per-instruction legality (verify::checkInstructionRules, its one
+  /// owner) is always checked once before the first instruction executes,
+  /// so an illegal stream fails with a VerificationError pinning the
+  /// instruction index and violated rule. staticVerify adds the verifier's
+  /// structural dataflow rules (read-before-write, buffer liveness,
+  /// metadata, outputs) to that pre-pass. Disable it for hot loops that
+  /// run one already-verified program many times (e.g. Monte-Carlo
+  /// trials); the simulator's dynamic dataflow guards then still throw
+  /// SimulationError mid-run.
   bool staticVerify = true;
 
   /// Record per-read stall events (instruction index, stall ns, distance

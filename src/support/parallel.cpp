@@ -12,10 +12,17 @@ namespace {
 // parallelFor calls observe it and degrade to serial inline execution.
 thread_local bool tlsInParallelRegion = false;
 
+// Restores the enclosing state on exit: a flattened nested loop must not
+// clear the flag while its outer loop's iterations are still running.
 class ScopedParallelRegion {
  public:
-  ScopedParallelRegion() { tlsInParallelRegion = true; }
-  ~ScopedParallelRegion() { tlsInParallelRegion = false; }
+  ScopedParallelRegion() : outer_(tlsInParallelRegion) {
+    tlsInParallelRegion = true;
+  }
+  ~ScopedParallelRegion() { tlsInParallelRegion = outer_; }
+
+ private:
+  bool outer_;
 };
 
 }  // namespace

@@ -700,6 +700,11 @@ std::optional<Violation> checkInstructionRules(const Instruction& inst,
           strCat("column ", inst.columns[i],
                  " chains the row buffer but the target does not support "
                  "operand chaining"));
+    if (inst.rows.empty() && !chains)
+      return makeRuleViolation(
+          Rule::InstructionShape, index, inst,
+          strCat("rowless read requires every column to chain; column ",
+                 inst.columns[i], " does not"));
     int operandBits = static_cast<int>(inst.rows.size()) + (chains ? 1 : 0);
     if (ir::isUnary(inst.colOps[i])) {
       if (operandBits != 1)
@@ -714,11 +719,6 @@ std::optional<Violation> checkInstructionRules(const Instruction& inst,
           strCat(ir::opName(inst.colOps[i]), " on column ", inst.columns[i],
                  " senses ", operandBits, " bits; needs at least two"));
     }
-    if (inst.rows.empty() && !chains)
-      return makeRuleViolation(
-          Rule::InstructionShape, index, inst,
-          strCat("rowless read requires every column to chain; column ",
-                 inst.columns[i], " does not"));
   }
   return std::nullopt;
 }
@@ -748,6 +748,15 @@ void checkProgram(const ir::Graph& g, const isa::TargetSpec& target,
              " violation", result.violations.size() == 1 ? "" : "s",
              "):\n", result.summary()),
       ruleName(first.rule), index);
+}
+
+void checkInstructions(const isa::TargetSpec& target,
+                       const mapping::Program& program) {
+  for (size_t idx = 0; idx < program.instructions.size(); ++idx)
+    if (auto v = checkInstructionRules(program.instructions[idx], target, idx))
+      throw VerificationError(
+          strCat("program verification failed:\n", v->toString()),
+          ruleName(v->rule), static_cast<long>(idx));
 }
 
 bool verifyCompiledByDefault() {

@@ -8,6 +8,18 @@
 // output under the chosen inputs, while the rules below reject illegal
 // programs outright and pin the failure to one instruction.
 //
+// Per-instruction legality (the first six rules below, plus the
+// per-instruction TransferLegality checks) has exactly one owner,
+// checkInstructionRules, and every program passes it at two boundaries in
+// every build type: at the end of mapping::compile and at the start of
+// sim::simulate, before any instruction executes. Codegen and the
+// simulator's decode loop do not re-check it. Each boundary either runs
+// the full verifier or, when that is switched off, the rules-only
+// checkInstructions pass. On top of the rules, SHERLOCK_VERIFY (compile)
+// adds the dataflow rules and the ValueEquivalence proof, and
+// SimOptions::staticVerify (simulate) adds the structural dataflow rules
+// without the equivalence proof.
+//
 // Rules checked (paper Sec. 2.1 / 3, Fig. 4 semantics):
 //  * AddressBounds     — array ids, rows, columns, move targets in range.
 //  * InstructionShape  — sorted/unique column & row lists, parallel
@@ -141,14 +153,21 @@ void checkProgram(const ir::Graph& g, const isa::TargetSpec& target,
                   const mapping::Program& program,
                   const VerifyOptions& options = {});
 
-/// Checks only the per-instruction rules (bounds, shape, MRA, per-column
-/// op and chaining legality) of a single instruction against the target —
-/// no cross-instruction dataflow. Returns the first violation, if any.
-/// Exposed for property tests that validate instruction streams produced
-/// outside a full Program (e.g. clustering invariants).
+/// The one definition of per-instruction legality: bounds, shape, MRA,
+/// per-column op, chaining, arity and transfer legality of a single
+/// instruction against the target — no cross-instruction dataflow.
+/// Returns the first violation, if any.
 std::optional<Violation> checkInstructionRules(const isa::Instruction& inst,
                                                const isa::TargetSpec& target,
                                                size_t index = 0);
+
+/// Rules-only pass: applies checkInstructionRules to every instruction of
+/// `program` and raises VerificationError carrying the first violation's
+/// rule and instruction index. Keeps no per-array state, so it is cheap
+/// enough to guard every compile and simulate that skips the full
+/// verifier.
+void checkInstructions(const isa::TargetSpec& target,
+                       const mapping::Program& program);
 
 /// Default for "verify every compiled program" wiring (mapping::compile):
 /// the SHERLOCK_VERIFY environment variable ("0" disables, anything else

@@ -9,6 +9,7 @@
 #include "mapping/compiler.h"
 #include "sim/simulator.h"
 #include "transforms/passes.h"
+#include "verify/verifier.h"
 #include "workloads/bitweaving.h"
 #include "workloads/random_dag.h"
 
@@ -53,10 +54,12 @@ TEST_P(ProgramInvariants, Hold) {
   auto compiled = compile(g, target, opts);
   const Program& p = compiled.program;
 
-  // (1) Every instruction validates against the target bounds.
-  for (const auto& inst : p.instructions)
-    ASSERT_NO_THROW(isa::validateInstruction(inst, target.numArrays,
-                                             target.rows(), target.cols()));
+  // (1) Every instruction passes the per-instruction legality rules.
+  for (size_t i = 0; i < p.instructions.size(); ++i) {
+    auto violation =
+        verify::checkInstructionRules(p.instructions[i], target, i);
+    ASSERT_FALSE(violation.has_value()) << violation->toString();
+  }
 
   // (2) The MRA cap holds on every read.
   for (const auto& inst : p.instructions)

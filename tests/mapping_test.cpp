@@ -11,6 +11,7 @@
 #include "transforms/passes.h"
 #include "transforms/substitution.h"
 #include "sim/simulator.h"
+#include "verify/verifier.h"
 #include "workloads/bitweaving.h"
 #include "workloads/random_dag.h"
 #include "workloads/sobel.h"
@@ -228,9 +229,10 @@ TEST(Codegen, ProgramInstructionsValidate) {
     CompileOptions opts;
     opts.strategy = strategy;
     auto compiled = compile(g, target, opts);
-    for (const auto& inst : compiled.program.instructions)
-      EXPECT_NO_THROW(isa::validateInstruction(
-          inst, target.numArrays, target.rows(), target.cols()));
+    for (const auto& inst : compiled.program.instructions) {
+      auto violation = verify::checkInstructionRules(inst, target);
+      EXPECT_FALSE(violation.has_value()) << violation->toString();
+    }
     EXPECT_EQ(compiled.program.outputCells.size(), g.outputs().size());
   }
 }

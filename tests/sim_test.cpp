@@ -114,6 +114,27 @@ TEST(Simulator, ChainOfInvalidBufferThrows) {
   EXPECT_THROW(simulate(m.g, target64(), m.prog, raw), SimulationError);
 }
 
+TEST(Simulator, IllegalInstructionRejectedBeforeExecution) {
+  // Instruction 0 reads a never-written cell, which the decode loop would
+  // reject with a SimulationError the moment it executed.
+  MicroProgram m = makeMicro();
+  m.prog.instructions[0] = isa::makePlainRead(0, {0}, 7);
+  m.prog.hostWriteValues.erase(0);
+  SimOptions raw;
+  raw.staticVerify = false;
+  EXPECT_THROW(simulate(m.g, target64(), m.prog, raw), SimulationError);
+  // With an out-of-range column at instruction 5, the legality pre-pass
+  // rejects the program first, so no instruction executed.
+  m.prog.instructions[5].columns = {64};
+  try {
+    simulate(m.g, target64(), m.prog, raw);
+    FAIL() << "expected VerificationError";
+  } catch (const VerificationError& e) {
+    EXPECT_EQ(e.instructionIndex(), 5);
+    EXPECT_STREQ(e.rule().c_str(), "address-bounds");
+  }
+}
+
 TEST(Simulator, ShiftMovesBufferBits) {
   // One value read into column 0, shifted to column 3, written there.
   ir::Graph g;

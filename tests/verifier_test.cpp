@@ -305,6 +305,70 @@ TEST(Verifier, CheckProgramThrowsStructuredError) {
   }
 }
 
+TEST(Verifier, InstructionRulesTable) {
+  // 4 arrays of 16x16: every per-instruction legality case, with the rule
+  // checkInstructionRules must name (nullopt = accepted).
+  isa::TargetSpec t =
+      isa::TargetSpec::square(16, device::TechnologyParams::reRam());
+  t.numArrays = 4;
+  using isa::makeCimRead;
+  using isa::makeWrite;
+  using isa::makeXfer;
+  using ir::OpKind;
+  struct Case {
+    const char* name;
+    Instruction inst;
+    std::optional<Rule> rule;
+  };
+  const Case cases[] = {
+      {"in-bounds write", makeWrite(3, {0, 15}, 15), std::nullopt},
+      {"array out of bounds", makeWrite(4, {0}, 0), Rule::AddressBounds},
+      {"column out of bounds", makeWrite(0, {16}, 0), Rule::AddressBounds},
+      {"row out of bounds", makeWrite(0, {0}, 16), Rule::AddressBounds},
+      {"in-bounds xfer", makeXfer(0, 0, 0, 3, 15, 15), std::nullopt},
+      {"xfer dst array", makeXfer(0, 0, 0, 4, 0, 0), Rule::AddressBounds},
+      {"xfer dst column", makeXfer(0, 0, 0, 1, 16, 0), Rule::AddressBounds},
+      {"xfer dst row", makeXfer(0, 0, 0, 1, 0, 16), Rule::AddressBounds},
+      {"xfer src column", makeXfer(0, 16, 0, 1, 0, 0), Rule::AddressBounds},
+      {"xfer src row", makeXfer(0, 0, 16, 1, 0, 0), Rule::AddressBounds},
+      {"descending columns", makeWrite(0, {5, 3}, 0), Rule::InstructionShape},
+      {"duplicate rows", makeCimRead(0, {1}, {3, 3}, {OpKind::And}),
+       Rule::InstructionShape},
+      {"ops not parallel to columns",
+       makeCimRead(0, {1, 2}, {3, 4}, {OpKind::And}), Rule::InstructionShape},
+      {"rowless read chaining every column",
+       makeCimRead(0, {1}, {}, {OpKind::Not}, {true}), std::nullopt},
+      {"rowless read not chaining a column",
+       makeCimRead(0, {1}, {}, {OpKind::Not}, {false}),
+       Rule::InstructionShape},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto v = checkInstructionRules(c.inst, t, 7);
+    ASSERT_EQ(v.has_value(), c.rule.has_value())
+        << (v ? v->toString() : "accepted");
+    if (!v) continue;
+    EXPECT_EQ(v->rule, *c.rule) << v->toString();
+    EXPECT_EQ(v->instructionIndex, 7u);
+  }
+}
+
+TEST(Verifier, CheckInstructionsAppliesOnlyTheRules) {
+  // Dataflow is not its business: a read of an unwritten cell passes.
+  MicroProgram m = makeMicro();
+  m.prog.instructions[3].rows = {0, 5};
+  EXPECT_NO_THROW(checkInstructions(target64(), m.prog));
+  // A rule violation raises VerificationError with its rule and index.
+  m.prog.instructions[4].rows = {0, 1, 2};
+  try {
+    checkInstructions(target64(/*mra=*/2), m.prog);
+    FAIL() << "expected VerificationError";
+  } catch (const VerificationError& e) {
+    EXPECT_EQ(e.instructionIndex(), 4);
+    EXPECT_STREQ(e.rule().c_str(), "mra-exceeded");
+  }
+}
+
 TEST(Verifier, FaultAvoidanceRejectsStuckCellRead) {
   // The micro program is clean on a perfect array; pin one operand cell
   // (array 0, row 1, col 0 — operand b) to stuck-at-HRS and the

@@ -323,7 +323,8 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
   copts.faults.map = faultMap ? &*faultMap : nullptr;
   copts.faults.spareRows = opts.spareRows;
   // With --verify we run the verifier ourselves (full report below)
-  // instead of the facade's first-violation throw.
+  // instead of the facade's first-violation throw; the facade still
+  // rejects a per-instruction rule violation on its own.
   if (opts.verify) copts.verify = false;
   mapping::CompileResult compiled;
   try {
